@@ -65,6 +65,12 @@ __all__ = ["SmartMLServer"]
 class SmartMLServer:
     """Wraps a :class:`SmartML` instance behind the REST interface.
 
+    ``POST /models/<id>/predict`` runs through a
+    :class:`~repro.serving.PredictionBatcher` with natural batching: a
+    request that finds it idle runs at once, and requests for the same
+    model that queue while a pass runs share the next pass.  No request
+    waits on a timer, so there is no batching window to configure.
+
     Parameters
     ----------
     smartml:
@@ -80,9 +86,6 @@ class SmartMLServer:
         Model registry serving ``/models``.  When omitted, one is built
         from ``registry_dir`` (durable) or in memory (``registry_dir``
         ``None``) — either way the endpoints are always available.
-    batch_window_s:
-        Micro-batching window for ``POST /models/<id>/predict``; requests
-        for the same model arriving within this window share one pass.
     journal:
         Job-journal path (or :class:`~repro.api.journal.JobJournal`); when
         set, submitted jobs survive a crash — a restarted server with the
@@ -106,7 +109,6 @@ class SmartMLServer:
         backend: str = "thread",
         registry: ModelRegistry | None = None,
         registry_dir=None,
-        batch_window_s: float = 0.002,
         journal=None,
         max_queue: int | None = None,
         default_timeout_s: float | None = None,
@@ -130,7 +132,7 @@ class SmartMLServer:
             default_timeout_s=default_timeout_s,
             max_retries=max_retries,
         )
-        self.batcher = PredictionBatcher(self.registry, window_s=batch_window_s)
+        self.batcher = PredictionBatcher(self.registry)
         self._datasets: dict[int, object] = {}
         self._next_dataset_id = 1
         self._lock = threading.Lock()

@@ -3,10 +3,12 @@
 Serving traffic is many small, concurrent requests — often a single row
 each — while every engine underneath (flat-tree traversal, substrate
 cross-grams, vectorised distance kernels) is built for *batches*.  The
-:class:`PredictionBatcher` bridges the two: concurrent requests for the
-same ``(model_id, version, kind)`` that arrive within a short coalescing
-window are stacked into one matrix, pushed through the model in a single
-pass, and sliced back per request with order preserved.
+:class:`PredictionBatcher` bridges the two with natural (group-commit)
+batching: a request that finds the worker idle runs at once, and every
+request for the same ``(model_id, version, kind)`` that queued while a
+pass was running is stacked into the next pass's matrix, pushed through
+the model once, and sliced back per request with order preserved.
+Nothing waits on a timer.
 
 Three properties are load-bearing and covered by the serving test suite:
 
@@ -37,7 +39,6 @@ threads of the HTTP server map 1:1 onto waiting requests.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +83,14 @@ class BatcherStats:
 
 
 class _Request:
-    """One caller's rows plus the rendezvous it blocks on."""
+    """One caller's rows, the model resolved for them at enqueue, and the
+    rendezvous the caller blocks on."""
 
-    __slots__ = ("key", "rows", "n_rows", "done", "outcome", "error")
+    __slots__ = ("key", "entry", "rows", "n_rows", "done", "outcome", "error")
 
-    def __init__(self, key, rows: np.ndarray):
+    def __init__(self, key, entry, rows: np.ndarray):
         self.key = key
+        self.entry = entry
         self.rows = rows
         self.n_rows = int(rows.shape[0])
         self.done = threading.Event()
@@ -110,27 +113,15 @@ class PredictionBatcher:
     ----------
     registry:
         Source of servable models.
-    window_s:
-        How long the worker holds the first request of a batch open for
-        compatible late arrivals.  Zero still coalesces whatever is
-        already queued (no artificial latency floor).
     max_batch_rows:
         Row cap per combined pass.  Matches the distance-engine chunk
         size so a coalesced pass stays inside one kernel tile.
     """
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        window_s: float = 0.002,
-        max_batch_rows: int = 256,
-    ):
-        if window_s < 0:
-            raise RegistryError("window_s must be >= 0")
+    def __init__(self, registry: ModelRegistry, max_batch_rows: int = 256):
         if max_batch_rows < 1:
             raise RegistryError("max_batch_rows must be >= 1")
         self.registry = registry
-        self.window_s = float(window_s)
         self.max_batch_rows = int(max_batch_rows)
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -157,27 +148,24 @@ class PredictionBatcher:
 
         Validation (model exists, rows rectangular and the right width)
         happens *here*, on the caller's thread, so a malformed request is
-        rejected before it can join — and poison — a batch.
+        rejected before it can join — and poison — a batch.  The model
+        resolved here is the one the request's pass runs: the worker never
+        looks it up again.
         """
         entry = self.registry.load(model_id, version)
         X = self._validated_rows(entry, rows)
-        key = (entry.model_id, entry.version, bool(proba), bool(use_ensemble))
         if not coalesce:
             with self._lock:
                 self._stats.requests += 1
-                self._stats.batches += 1
-                self._stats.rows += X.shape[0]
-                self._stats.max_batch_requests = max(self._stats.max_batch_requests, 1)
-                self._stats.max_batch_rows = max(
-                    self._stats.max_batch_rows, int(X.shape[0])
-                )
+                self._count_pass(1, X.shape[0])
             try:
                 return self._run_pass(entry, X, proba, use_ensemble)
             except Exception:
                 with self._lock:
                     self._stats.failed_requests += 1
                 raise
-        request = _Request(key, X)
+        key = (entry.model_id, entry.version, bool(proba), bool(use_ensemble))
+        request = _Request(key, entry, X)
         with self._lock:
             if self._closed:
                 raise RegistryError("batcher is shut down")
@@ -222,14 +210,13 @@ class PredictionBatcher:
             self._execute(batch)
 
     def _collect_batch(self) -> list[_Request] | None:
-        """Take the oldest request plus compatible arrivals in its window.
+        """Take the oldest request plus every queued one it can share a pass with.
 
-        The window is a *pairing* timeout, not a pacing delay: a lone
-        request waits up to ``window_s`` for a first partner, but once the
-        batch has company it executes as soon as the queue holds nothing
-        compatible.  Under sustained load the backlog that builds while a
-        pass runs is coalesced immediately on pickup — throughput comes
-        from that drain, with no imposed latency floor.
+        Group commit, not a timer: everything compatible that queued while
+        the previous pass ran is taken in this one lock hold (first fit,
+        up to ``max_batch_rows``), and a request that finds the queue empty
+        runs alone at once.  Requests arriving during this pass form the
+        next one.
         """
         with self._lock:
             while not self._queue:
@@ -237,53 +224,39 @@ class PredictionBatcher:
                     return None
                 self._wakeup.wait()
             head = self._queue.pop(0)
-        deadline = time.monotonic() + self.window_s
-        batch = [head]
-        rows = head.n_rows
-        while rows < self.max_batch_rows:
-            with self._lock:
-                take = None
-                for candidate in self._queue:
-                    if (
-                        candidate.key == head.key
-                        and rows + candidate.n_rows <= self.max_batch_rows
-                    ):
-                        take = candidate
-                        break
-                if take is not None:
-                    self._queue.remove(take)
+            batch, rows, rest = [head], head.n_rows, []
+            for candidate in self._queue:
+                if (
+                    candidate.key == head.key
+                    and rows + candidate.n_rows <= self.max_batch_rows
+                ):
+                    batch.append(candidate)
+                    rows += candidate.n_rows
                 else:
-                    if len(batch) > 1:
-                        break  # has company and the queue is drained: go
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._wakeup.wait(remaining)
-                    continue
-            batch.append(take)
-            rows += take.n_rows
+                    rest.append(candidate)
+            self._queue = rest
+            self._count_pass(len(batch), rows)
         return batch
 
+    def _count_pass(self, n_requests: int, n_rows: int) -> None:
+        """Record one pass in the stats; the caller holds ``self._lock``."""
+        stats = self._stats
+        stats.batches += 1
+        stats.rows += n_rows
+        if n_requests > 1:
+            stats.coalesced_requests += n_requests
+        stats.max_batch_requests = max(stats.max_batch_requests, n_requests)
+        stats.max_batch_rows = max(stats.max_batch_rows, n_rows)
+
     def _execute(self, batch: list[_Request]) -> None:
-        model_id, version, proba, use_ensemble = batch[0].key
-        total_rows = sum(r.n_rows for r in batch)
-        with self._lock:
-            self._stats.batches += 1
-            self._stats.rows += total_rows
-            if len(batch) > 1:
-                self._stats.coalesced_requests += len(batch)
-            self._stats.max_batch_requests = max(
-                self._stats.max_batch_requests, len(batch)
-            )
-            self._stats.max_batch_rows = max(self._stats.max_batch_rows, total_rows)
+        _, _, proba, use_ensemble = batch[0].key
         try:
-            entry = self.registry.load(model_id, version)
             X = (
                 batch[0].rows
                 if len(batch) == 1
                 else np.concatenate([r.rows for r in batch], axis=0)
             )
-            combined = self._run_pass(entry, X, proba, use_ensemble)
+            combined = self._run_pass(batch[0].entry, X, proba, use_ensemble)
         except Exception as exc:
             if len(batch) == 1:
                 with self._lock:
@@ -296,9 +269,8 @@ class PredictionBatcher:
                 self._stats.isolation_reruns += 1
             for request in batch:
                 try:
-                    entry = self.registry.load(model_id, version)
                     request.resolve(
-                        self._run_pass(entry, request.rows, proba, use_ensemble)
+                        self._run_pass(request.entry, request.rows, proba, use_ensemble)
                     )
                 except Exception as member_exc:
                     with self._lock:
